@@ -996,10 +996,13 @@ impl PlanService {
         // Restore checkpoint tries before the sessions see traffic. Each
         // restored checkpoint is verified against a deterministic re-pack
         // of its own prefix inside `import_checkpoints`; mismatches are
-        // dropped and counted, never trusted.
-        for (session, checkpoints) in sessions.iter().zip(&snapshot.tries) {
+        // dropped and counted, never trusted. Sessions share no trie,
+        // interner or pool, so each import depends only on its own export
+        // and the tries come out the same at any thread count.
+        let pairs: Vec<_> = sessions.iter().zip(&snapshot.tries).collect();
+        msoc_par::map(&pairs, |_, (session, checkpoints)| {
             session.import_checkpoints(checkpoints);
-        }
+        });
         for session in &sessions {
             let tick = service.session_tick.fetch_add(1, Ordering::Relaxed) + 1;
             let fp = session.fingerprint();
@@ -1011,7 +1014,10 @@ impl PlanService {
                 .push(SessionEntry { session: Arc::clone(session), last_used: tick });
             state.session_count += 1;
         }
-        for (i, record) in snapshot.schedules.iter().enumerate() {
+        // Records are checked in parallel and inserted serially in record
+        // order, so `memo_order`, eviction and the first error reported
+        // stay those of a serial import.
+        let checked = msoc_par::map(&snapshot.schedules, |i, record| {
             let corrupt = |what: String| SnapshotError::Corrupt(format!("schedule {i}: {what}"));
             let session = sessions.get(record.session).ok_or_else(|| {
                 corrupt(format!("references session {} of {}", record.session, sessions.len()))
@@ -1031,10 +1037,13 @@ impl PlanService {
             let mut h = StableHasher::new();
             h.write_u64(session.fingerprint());
             h.write_u64(fingerprint_jobs(&delta));
-            let key = h.finish();
+            Ok((h.finish(), Arc::clone(session), delta, schedule))
+        });
+        for result in checked {
+            let (key, session, delta, schedule) = result?;
             let mut state = service.shards[super::shard_index(key)].lock();
             state.schedules.entry(key).or_default().push(ScheduleEntry {
-                session: Arc::clone(session),
+                session,
                 delta,
                 schedule: Arc::new(schedule),
             });
@@ -1344,6 +1353,13 @@ mod tests {
         let imported = PlanService::from_snapshot(&snapshot).unwrap();
         let stats = imported.stats();
         assert!(stats.sessions.import_dropped > 0, "{stats:?}");
+        // Sessions import in parallel; a serial import restores and drops
+        // the same checkpoints and re-exports the same bytes.
+        let serial = msoc_par::with_threads(1, || PlanService::from_snapshot(&snapshot).unwrap());
+        let serial_stats = serial.stats();
+        assert_eq!(serial_stats.sessions.import_restored, stats.sessions.import_restored);
+        assert_eq!(serial_stats.sessions.import_dropped, stats.sessions.import_dropped);
+        assert_eq!(serial.export_snapshot().to_bytes(), imported.export_snapshot().to_bytes());
         let replay = imported.submit(&jobs);
         for (a, b) in baseline.iter().zip(&replay) {
             let (a, b) = (a.report().unwrap(), b.report().unwrap());

@@ -278,10 +278,19 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerRepor
 
         // The ticker drives every shard's snapshot daemon on one
         // cadence; polls are cheap when clean (tick comparison only).
+        // It wakes at least every 10 ms to notice shutdown, but starts a
+        // poll round only once a full tick has passed since the last one
+        // began.
         let tick = config.snapshot_tick;
         scope.spawn(move || {
+            let mut round = Instant::now();
             while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(tick.min(Duration::from_millis(10)));
+                let due = tick.saturating_sub(round.elapsed());
+                if !due.is_zero() {
+                    std::thread::sleep(due.min(Duration::from_millis(10)));
+                    continue;
+                }
+                round = Instant::now();
                 for shard in shards {
                     if let Some(daemon) = &shard.daemon {
                         daemon.lock().expect("daemon lock").poll();

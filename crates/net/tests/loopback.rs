@@ -163,3 +163,40 @@ fn shutdown_flushes_snapshots_and_boot_recovers_them() {
 
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn snapshot_tick_above_ten_ms_is_honoured() {
+    // With an hour-long tick the daemon must not poll during the run:
+    // the submitted plan reaches the store only through the shutdown
+    // flush.
+    let root = std::env::temp_dir().join(format!("msoc_net_tick_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = ServerConfig {
+        shards: 1,
+        store_root: Some(root.clone()),
+        snapshot_tick: Duration::from_secs(3600),
+        ..ServerConfig::default()
+    };
+    let generations = || {
+        msoc_core::DirStore::open(root.join("shard-0"))
+            .and_then(|store| msoc_core::SnapshotStore::list(&store))
+            .expect("list the shard store")
+            .len()
+    };
+    let (report, before_flush) = with_server(config, |addr| {
+        let mut client = Client::connect(addr, "slow-tick").expect("connect");
+        let outcomes = client
+            .submit(vec![WireJob::new(
+                WireSocRef::Inline(WireSoc::from_soc(&MixedSignalSoc::d695m())),
+                WireSpec::Single { width: 20 },
+            )])
+            .expect("submit");
+        assert!(matches!(outcomes[0], WireOutcome::Completed(_)));
+        std::thread::sleep(Duration::from_millis(200));
+        generations()
+    });
+    assert_eq!(before_flush, 0, "no poll round may run before the tick elapses");
+    assert_eq!(report.shards[0].generations_persisted, 1, "{report:?}");
+    assert_eq!(generations(), 1, "the shutdown flush persists one generation");
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -324,6 +324,28 @@ impl<C: PackEngine> PackState<C> {
     }
 }
 
+#[cfg(test)]
+impl PackState<super::skyline::SkylineIndex> {
+    /// The placed entries, in placement order.
+    pub(crate) fn entries(&self) -> &[ScheduledTest] {
+        &self.entries
+    }
+
+    /// Heap bytes held by the entry vector, the group-interval map and
+    /// its vectors, and the skyline arena.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.entries.capacity() * size_of::<ScheduledTest>()
+            + self.group_intervals.capacity() * size_of::<(u32, Vec<(u64, u64)>)>()
+            + self
+                .group_intervals
+                .values()
+                .map(|v| v.capacity() * size_of::<(u64, u64)>())
+                .sum::<usize>()
+            + self.index.heap_bytes()
+    }
+}
+
 /// Problem-wide constants for the lower-bound prune.
 struct PruneCtx {
     /// Minimum wire-cycles each combined-index job must consume.
@@ -982,6 +1004,17 @@ impl<C: PackEngine> SessionCore<C> {
         let mut stores: Vec<(u32, usize)> = Vec::new();
         {
             let mut interner = self.interner.lock().expect("step interner lock");
+            // One working state serves every node; only verified nodes keep
+            // an exact-size clone of it, as `pack_via_prefix` stores for
+            // every checkpoint it creates. Root steps restore from `empty`
+            // rather than `reset`, whose kept group keys would ride along
+            // in every clone below them.
+            let empty = PackState::new(self.tam_width, 0);
+            let mut work = self.take_state(0);
+            // The node whose verified state `work` still holds. Exports
+            // list nodes in pre-order, so most nodes directly follow their
+            // parent and re-pack on `work` without restoring it first.
+            let mut work_holds: Option<usize> = None;
             for (i, node) in export.nodes.iter().enumerate() {
                 paths.push(Vec::new());
                 states.push(None);
@@ -1045,18 +1078,19 @@ impl<C: PackEngine> SessionCore<C> {
                 // Re-pack the step on a copy of the parent state and keep
                 // the node only if the deterministic placement agrees with
                 // the persisted one.
-                let mut state = self.take_state(base_path.len() + 1);
-                if let Some(base) = &base_state {
-                    state.copy_from(base);
+                let holds_parent =
+                    matches!((node.parent, work_holds), (Some(p), Some(w)) if p as usize == w);
+                if !holds_parent {
+                    work.copy_from(base_state.as_deref().unwrap_or(&empty));
                 }
+                work_holds = None;
                 let placement = self.with_pass_scratch(|scratch| {
-                    state.best_placement_for(content, self.tam_width, scratch)
+                    work.best_placement_for(content, self.tam_width, scratch)
                 });
-                let placed = state.place_job(job, content, placement);
+                let placed = work.place_job(job, content, placement);
                 let expected =
                     ScheduledTest { job, width: node.width, start: node.start, end: node.end };
                 if placed != expected {
-                    self.retire_state(state);
                     drop_stored(&mut dropped);
                     continue;
                 }
@@ -1066,8 +1100,10 @@ impl<C: PackEngine> SessionCore<C> {
                     stores.push((node.lru, i));
                 }
                 paths[i] = path;
-                states[i] = Some(Arc::new(state));
+                states[i] = Some(Arc::new(work.clone()));
+                work_holds = Some(i);
             }
+            self.retire_state(work);
         }
         stores.sort_unstable();
         let restored = stores.len() as u64;
@@ -1084,6 +1120,13 @@ impl<C: PackEngine> SessionCore<C> {
 
     pub(crate) fn skeleton(&self) -> &[TestJob] {
         &self.skeleton
+    }
+
+    /// Every checkpoint state the trie currently stores.
+    #[cfg(test)]
+    pub(crate) fn stored_states(&self) -> Vec<Arc<PackState<C>>> {
+        let trie = self.trie.lock().expect("checkpoint trie lock");
+        trie.nodes.iter().filter_map(|n| n.state.clone()).collect()
     }
 
     pub(crate) fn tam_width(&self) -> u32 {

@@ -585,6 +585,37 @@ mod tests {
     }
 
     #[test]
+    fn imported_checkpoints_are_no_larger_than_packed_ones() {
+        let stored = |session: &PackSession| match &session.core {
+            EngineCore::Skyline(c) => c.stored_states(),
+            _ => unreachable!("skyline sessions only"),
+        };
+        let warm = PackSession::new(6, skeleton(), Effort::Standard, Engine::Skyline);
+        for delta in deltas() {
+            warm.pack(&delta).expect("feasible");
+        }
+        let packed = stored(&warm);
+        let restored = PackSession::new(6, skeleton(), Effort::Standard, Engine::Skyline);
+        let stats = restored.import_checkpoints(&warm.export_checkpoints());
+        let imported = stored(&restored);
+        assert!(stats.restored > 0);
+        assert_eq!(imported.len() as u64, stats.restored);
+        for state in &imported {
+            let twin = packed
+                .iter()
+                .find(|p| p.entries() == state.entries())
+                .expect("every imported checkpoint was packed by the exporter");
+            assert!(
+                state.heap_bytes() <= twin.heap_bytes(),
+                "imported checkpoint of {} entries holds {} heap bytes, packed {}",
+                state.entries().len(),
+                state.heap_bytes(),
+                twin.heap_bytes()
+            );
+        }
+    }
+
+    #[test]
     fn checkpoint_export_is_stable_across_a_roundtrip() {
         let warm = PackSession::new(6, skeleton(), Effort::Standard, Engine::Skyline);
         for delta in deltas() {
@@ -613,6 +644,32 @@ mod tests {
         // Dropped checkpoints cost reuse, never correctness.
         for (delta, baseline) in deltas().iter().zip(&baselines) {
             assert_eq!(&restored.pack(delta).expect("feasible"), baseline);
+        }
+    }
+
+    #[test]
+    fn a_tampered_leaf_drops_only_itself_not_its_siblings() {
+        let warm = PackSession::new(6, skeleton(), Effort::Standard, Engine::Skyline);
+        for delta in deltas() {
+            warm.pack(&delta).expect("feasible");
+        }
+        let export = warm.export_checkpoints();
+        let nodes = &export.tries[0].nodes;
+        // Leaves directly followed by a sibling: the import must restore
+        // the sibling from their shared parent, not from the leaf's failed
+        // re-pack.
+        let leaves: Vec<usize> = (0..nodes.len() - 1)
+            .filter(|&j| nodes.iter().all(|n| n.parent != Some(j as u32)))
+            .filter(|&j| nodes[j + 1].parent == nodes[j].parent)
+            .collect();
+        assert!(!leaves.is_empty(), "the sweep must branch");
+        for j in leaves {
+            let mut tampered = export.clone();
+            tampered.tries[0].nodes[j].start += 1;
+            let restored = PackSession::new(6, skeleton(), Effort::Standard, Engine::Skyline);
+            let stats = restored.import_checkpoints(&tampered);
+            assert_eq!(stats.dropped, 1, "leaf {j}: {stats:?}");
+            assert_eq!(stats.restored as usize, export.checkpoint_count() - 1, "leaf {j}");
         }
     }
 

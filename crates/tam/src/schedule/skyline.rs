@@ -320,6 +320,15 @@ pub(crate) struct SkylineIndex {
     starts: Vec<u64>,
 }
 
+#[cfg(test)]
+impl SkylineIndex {
+    /// Heap bytes held by the event arena and the candidate-start list.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.skyline.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.starts.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
 impl PackEngine for SkylineIndex {
     fn new(_tam_width: u32) -> Self {
         SkylineIndex { skyline: Skyline::new(), starts: vec![0] }

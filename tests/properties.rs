@@ -533,10 +533,15 @@ proptest! {
             "a faithful snapshot drops no checkpoints: {:?}", stats);
         // Re-exporting the imported service reproduces the original bytes:
         // session order, schedule order, trie structure and LRU ranks all
-        // survive the roundtrip.
+        // survive the roundtrip, whether sessions import in parallel or
+        // one after another.
         let again = PlanService::from_snapshot(&snapshot).expect("reimport");
-        prop_assert_eq!(again.export_snapshot().to_bytes(), bytes,
+        prop_assert_eq!(again.export_snapshot().to_bytes(), bytes.clone(),
             "export → import → export must be a byte fixed point");
+        let serial = msoc_par::with_threads(1, || PlanService::from_snapshot(&snapshot))
+            .expect("serial reimport");
+        prop_assert_eq!(serial.export_snapshot().to_bytes(), bytes,
+            "a 1-thread import must re-export the same bytes");
     }
 
     #[test]
