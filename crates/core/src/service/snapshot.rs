@@ -611,9 +611,10 @@ fn decode_v2(r: &mut Reader) -> Result<ServiceSnapshot, SnapshotError> {
     let mut tries = Vec::new();
     for (i, session) in sessions.iter().enumerate() {
         let corrupt = |what: String| SnapshotError::Corrupt(format!("session {i} tries: {what}"));
+        // One trie per packed session; v1-migrated sessions carry none.
         let member_count = r.uv()?;
-        if member_count > 8 {
-            return Err(corrupt(format!("{member_count} portfolio members")));
+        if member_count > 1 {
+            return Err(corrupt(format!("{member_count} tries for one session")));
         }
         let mut export = CheckpointExport::default();
         for _ in 0..member_count {
@@ -1083,13 +1084,12 @@ fn decode_effort(code: u8) -> Result<Effort, SnapshotError> {
     }
 }
 
+/// Engine codes 2–4 belonged to retired engines: a session record
+/// carrying one decodes as corrupt, and the codes are never reused.
 fn engine_code(engine: Engine) -> u8 {
     match engine {
         Engine::Skyline => 0,
         Engine::Naive => 1,
-        Engine::MaxRects => 2,
-        Engine::Guillotine => 3,
-        Engine::Portfolio => 4,
     }
 }
 
@@ -1097,9 +1097,6 @@ fn decode_engine(code: u8) -> Result<Engine, SnapshotError> {
     match code {
         0 => Ok(Engine::Skyline),
         1 => Ok(Engine::Naive),
-        2 => Ok(Engine::MaxRects),
-        3 => Ok(Engine::Guillotine),
-        4 => Ok(Engine::Portfolio),
         other => Err(SnapshotError::Corrupt(format!("unknown engine code {other}"))),
     }
 }
@@ -1474,6 +1471,48 @@ mod tests {
         match PlanService::from_snapshot(&snapshot) {
             Err(SnapshotError::Corrupt(what)) => assert!(what.contains("staircase"), "{what}"),
             other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+
+    /// Re-seals tampered bytes with a valid trailer checksum, so the
+    /// decoder's structural checks (not the checksum) must catch them.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let len = bytes.len();
+        let fixed = fnv(&bytes[..len - 8]);
+        bytes[len - 8..].copy_from_slice(&fixed.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_session_record_with_a_retired_engine_code_is_corrupt() {
+        let (service, _) = warm_service();
+        let (mut bytes, sizes) = service.export_snapshot().to_bytes_with_stats();
+        // Session table: count, then the first record's TAM width (one
+        // varint byte below 128), effort byte and engine byte.
+        let engine_at = MAGIC.len() + 4 + sizes.content_bytes + 3;
+        assert_eq!(bytes[engine_at], 0, "the warm service packs with the skyline");
+        for retired in 2..=4u8 {
+            bytes[engine_at] = retired;
+            match ServiceSnapshot::from_bytes(&resealed(bytes.clone())) {
+                Err(SnapshotError::Corrupt(what)) => {
+                    assert!(what.contains(&format!("unknown engine code {retired}")), "{what}")
+                }
+                other => panic!("engine code {retired} must be corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_session_with_more_than_one_trie_is_corrupt() {
+        let (service, _) = warm_service();
+        let mut snapshot = service.export_snapshot();
+        let trie = snapshot.tries[0].tries[0].clone();
+        snapshot.tries[0].tries.push(trie);
+        match ServiceSnapshot::from_bytes(&snapshot.to_bytes()) {
+            Err(SnapshotError::Corrupt(what)) => {
+                assert!(what.contains("2 tries for one session"), "{what}")
+            }
+            other => panic!("two tries for one session must be corrupt, got {other:?}"),
         }
     }
 

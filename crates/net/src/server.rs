@@ -394,7 +394,19 @@ fn dispatch(request: Request, shards: &[ShardRuntime<'_, '_>]) -> Response {
         }
         Request::Submit { tenant, jobs } => {
             let shard = &shards[tenant_shard(&tenant, shards.len())];
-            let registry = shard.registry.lock().expect("registry lock").clone();
+            // Clone only the handles this batch names; an id absent here
+            // is rejected by `build_job` as unknown.
+            let registry: HashMap<u64, SocHandle> = {
+                let registry = shard.registry.lock().expect("registry lock");
+                jobs.iter()
+                    .filter_map(|job| match job.soc {
+                        WireSocRef::Registered(id) => {
+                            registry.get(&id).map(|handle| (id, handle.clone()))
+                        }
+                        WireSocRef::Inline(_) => None,
+                    })
+                    .collect()
+            };
             let started = Instant::now();
             let outcomes = execute_jobs(shard.service, &registry, &jobs);
             let elapsed_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;

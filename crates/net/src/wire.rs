@@ -793,13 +793,12 @@ fn decode_effort(code: u8) -> Result<Effort, WireError> {
     })
 }
 
+/// Engine codes 2–4 belonged to retired engines; they decode as unknown
+/// and are never reused.
 fn engine_code(engine: Engine) -> u8 {
     match engine {
         Engine::Skyline => 0,
         Engine::Naive => 1,
-        Engine::MaxRects => 2,
-        Engine::Guillotine => 3,
-        Engine::Portfolio => 4,
     }
 }
 
@@ -807,9 +806,6 @@ fn decode_engine(code: u8) -> Result<Engine, WireError> {
     Ok(match code {
         0 => Engine::Skyline,
         1 => Engine::Naive,
-        2 => Engine::MaxRects,
-        3 => Engine::Guillotine,
-        4 => Engine::Portfolio,
         other => return Err(WireError::Corrupt(format!("unknown engine code {other}"))),
     })
 }

@@ -3,12 +3,13 @@
 //! replay — plus the full register→submit→revise→stats→shutdown
 //! round trip and boot recovery from persisted snapshots.
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use msoc_analog::paper_cores;
 use msoc_core::MixedSignalSoc;
-use msoc_net::wire::WireEdit;
+use msoc_net::wire::{frame_request, read_response, Request, Response, WireEdit};
 use msoc_net::{
     build_trace, run_loopback, Client, ServerConfig, ServerReport, WireAnalogCore, WireJob,
     WireOutcome, WireSoc, WireSocRef, WireSpec,
@@ -199,4 +200,43 @@ fn snapshot_tick_above_ten_ms_is_honoured() {
     assert_eq!(report.shards[0].generations_persisted, 1, "{report:?}");
     assert_eq!(generations(), 1, "the shutdown flush persists one generation");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_retired_engine_code_is_refused_and_the_daemon_keeps_serving() {
+    let (report, ()) = with_server(ServerConfig::default(), |addr| {
+        // A valid one-job submit whose engine byte is patched to 4, a
+        // code that belonged to a retired engine. The job's payload ends
+        // `effort, engine, priority, no deadline, not cancelled`.
+        let job = WireJob::new(
+            WireSocRef::Inline(WireSoc::from_soc(&MixedSignalSoc::d695m())),
+            WireSpec::Single { width: 16 },
+        );
+        let mut frame =
+            frame_request(&Request::Submit { tenant: "hostile".into(), jobs: vec![job] });
+        let engine_at = frame.len() - 4;
+        assert_eq!(frame[engine_at], 0, "the default engine is the skyline");
+        frame[engine_at] = 4;
+        let mut raw = TcpStream::connect(addr).expect("connect raw");
+        raw.write_all(&frame).expect("send the patched frame");
+        match read_response(&mut raw).expect("the daemon answers before closing") {
+            Response::Error { message } => {
+                assert!(message.contains("unknown engine code 4"), "{message}")
+            }
+            other => panic!("engine code 4 must be refused, got {other:?}"),
+        }
+
+        // Other connections are unaffected.
+        let mut client = Client::connect(addr, "well-behaved").expect("connect");
+        let outcomes = client
+            .submit(vec![WireJob::new(
+                WireSocRef::Inline(WireSoc::from_soc(&MixedSignalSoc::d695m())),
+                WireSpec::Single { width: 16 },
+            )])
+            .expect("submit");
+        assert!(matches!(outcomes[0], WireOutcome::Completed(_)), "{:?}", outcomes[0]);
+    });
+    // The refused frame never reached a service.
+    let total: u64 = report.shards.iter().map(|s| s.stats.jobs_submitted).sum();
+    assert_eq!(total, 1, "{report:?}");
 }

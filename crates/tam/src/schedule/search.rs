@@ -2,12 +2,9 @@
 //!
 //! The search logic — candidate placement choice, greedy list passes, the
 //! rip-up-and-replace improvement loop, multi-start orderings — is shared
-//! between every packing engine through the [`PackEngine`] trait. The
-//! skyline and naive engines implement the *same* earliest-start policy
-//! (so they produce identical schedules and differ only in query speed),
-//! while the MaxRects and guillotine engines implement genuinely
-//! different placement geometries behind the same trait — different
-//! schedules, same feasibility guarantees.
+//! between the skyline and naive engines through the [`PackEngine`]
+//! trait. Both implement the *same* earliest-start policy, so they
+//! produce identical schedules and differ only in query speed.
 //!
 //! # The skeleton → snapshot → delta-pack pipeline
 //!
@@ -63,7 +60,7 @@
 //! is the deterministic pack of its own prefix and stays valid even if
 //! the pass that minted it is later abandoned.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -94,24 +91,20 @@ const INTERNER_CAP: usize = 8192;
 /// A packing engine answers "where does this rectangle go" queries for
 /// the greedy packer and observes every placement.
 ///
-/// Each engine chooses starts by its own *deterministic* placement
-/// policy; the only hard contract is feasibility: the returned start must
-/// keep the job under the TAM capacity over its whole window and overlap
-/// none of the forbidden intervals, and a feasible start must exist for
-/// every `width <= tam_width` (placing after everything already placed is
-/// always legal). The skyline and naive engines both implement the exact
-/// earliest-start policy (candidate starts are time 0, every placed
-/// entry's end and every forbidden interval's end, probed in ascending
-/// order) and therefore stay bit-identical to each other; the MaxRects
-/// and guillotine engines place by free-rectangle / shelf geometry and
-/// produce genuinely different schedules.
+/// The returned start must keep the job under the TAM capacity over its
+/// whole window and overlap none of the forbidden intervals, and a
+/// feasible start must exist for every `width <= tam_width` (placing
+/// after everything already placed is always legal). Both engines
+/// implement the exact earliest-start policy (candidate starts are time
+/// 0, every placed entry's end and every forbidden interval's end, probed
+/// in ascending order) and therefore stay bit-identical to each other.
 ///
-/// `place_start` takes `&mut self` so an engine may memoize the geometry
-/// decision behind a returned start; [`on_place`](Self::on_place) is
-/// guaranteed to be called (with one of the queried `width × time`
-/// rectangles) before the next `place_start`, or not at all for the
-/// current job. `Clone` must snapshot the full incremental state (it is
-/// the checkpoint operation of the session pipeline);
+/// `place_start` takes `&mut self` so an engine may memoize work behind a
+/// returned start; [`on_place`](Self::on_place) is guaranteed to be
+/// called (with one of the queried `width × time` rectangles) before the
+/// next `place_start`, or not at all for the current job. `Clone` must
+/// snapshot the full incremental state (it is the checkpoint operation
+/// of the session pipeline);
 /// [`reset`](Self::reset)/[`copy_from`](Self::copy_from) are the
 /// allocation-reusing forms of `new`/`clone` that let the session recycle
 /// retired engines instead of re-allocating per pass.
@@ -654,24 +647,24 @@ pub struct TrieExport {
     pub nodes: Vec<CheckpointNode>,
 }
 
-/// A whole session's exported checkpoint tries — one [`TrieExport`] per
-/// member engine (three for [`Engine::Portfolio`] sessions, one
-/// otherwise).
+/// A whole session's exported checkpoint tries: exactly one
+/// [`TrieExport`] from [`PackSession::export_checkpoints`]; sessions
+/// migrated from v1 snapshots carry none.
 ///
-/// [`Engine::Portfolio`]: super::Engine
+/// [`PackSession::export_checkpoints`]: crate::PackSession::export_checkpoints
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CheckpointExport {
-    /// Per-member-engine tries, in the session's fixed member order.
+    /// The session's trie, at most one.
     pub tries: Vec<TrieExport>,
 }
 
 impl CheckpointExport {
-    /// Total exported nodes across the member tries.
+    /// Total exported nodes across the tries.
     pub fn node_count(&self) -> usize {
         self.tries.iter().map(|t| t.nodes.len()).sum()
     }
 
-    /// Total stored checkpoint states across the member tries.
+    /// Total stored checkpoint states across the tries.
     pub fn checkpoint_count(&self) -> usize {
         self.tries.iter().map(|t| t.nodes.iter().filter(|n| n.stored).count()).sum()
     }
@@ -1334,16 +1327,22 @@ impl<C: PackEngine> SessionCore<C> {
         }
     }
 
-    /// Begins a staged pack of the session skeleton plus `delta`:
-    /// validates feasibility and prepares the multi-start orderings, but
-    /// runs no passes yet. [`Self::pack`] drives the stages to completion
-    /// with an unbounded cutoff; the portfolio race drives the same
-    /// stages across engines with frozen cross-engine cutoffs.
-    pub(crate) fn begin<'s>(
-        &'s self,
-        delta: &'s [TestJob],
-        counters: &'s SessionCounters,
-    ) -> Result<StagedPack<'s, C>, ScheduleError> {
+    /// Packs the session skeleton plus `delta` into a full schedule.
+    ///
+    /// Job indices in the returned schedule address the combined
+    /// `skeleton ++ delta` job list. Deterministic for a given
+    /// `(session, delta)`; bit-identical to a from-scratch
+    /// [`super::schedule_with_engine`] call on the combined problem.
+    ///
+    /// The search runs in fixed stages — the three deterministic base
+    /// orderings, the shuffled restarts, the joint passes, then the
+    /// improvement rounds — and each stage's incumbent starts at the best
+    /// makespan of the stages before it.
+    pub(crate) fn pack(
+        &self,
+        delta: &[TestJob],
+        counters: &SessionCounters,
+    ) -> Result<Schedule, ScheduleError> {
         let jobs = JobSet { skeleton: &self.skeleton, delta };
         let w = self.tam_width;
         for i in 0..jobs.len() {
@@ -1356,6 +1355,7 @@ impl<C: PackEngine> SessionCore<C> {
                 });
             }
         }
+        counters.delta_packs.fetch_add(1, Ordering::Relaxed);
 
         let skeleton_indices: Vec<usize> = (0..self.skeleton.len()).collect();
         let delta_indices: Vec<usize> =
@@ -1363,7 +1363,7 @@ impl<C: PackEngine> SessionCore<C> {
         let skeleton_orders = orders_for_phase(&jobs, &skeleton_indices, w, self.effort);
         let delta_orders = orders_for_phase(&jobs, &delta_indices, w, self.effort);
         debug_assert_eq!(skeleton_orders.len(), delta_orders.len());
-        let phase_orders: Vec<Vec<usize>> = skeleton_orders
+        let mut base_orders: Vec<Vec<usize>> = skeleton_orders
             .into_iter()
             .zip(delta_orders)
             .map(|(mut sk, dl)| {
@@ -1371,113 +1371,48 @@ impl<C: PackEngine> SessionCore<C> {
                 sk
             })
             .collect();
+        let shuffle_orders = base_orders.split_off(base_orders.len().min(3));
 
-        let prune_ctx = PruneCtx::new(&jobs);
-        Ok(StagedPack {
-            core: self,
-            jobs,
-            counters,
-            prune_ctx,
-            phase_orders,
-            best: None,
-            round: 0,
-            tried: std::collections::HashSet::new(),
-        })
-    }
-
-    /// Packs the session skeleton plus `delta` into a full schedule.
-    ///
-    /// Job indices in the returned schedule address the combined
-    /// `skeleton ++ delta` job list. Deterministic for a given
-    /// `(session, delta)`; bit-identical to a from-scratch
-    /// [`super::schedule_with_engine`] call on the combined problem.
-    pub(crate) fn pack(
-        &self,
-        delta: &[TestJob],
-        counters: &SessionCounters,
-    ) -> Result<Schedule, ScheduleError> {
-        let mut staged = self.begin(delta, counters)?;
-        counters.delta_packs.fetch_add(1, Ordering::Relaxed);
-        staged.base_stage(u64::MAX);
-        staged.shuffle_stage(u64::MAX);
-        staged.joint_stage(u64::MAX);
-        while staged.improve_rounds(u64::MAX, usize::MAX).0 {}
-        Ok(staged.take_schedule().expect("an un-pruned ordering always survives"))
+        let mut search =
+            Search { core: self, jobs, counters, prune_ctx: PruneCtx::new(&jobs), best: None };
+        // Phase-partitioned orders snapshot their delta steps: their delta
+        // sub-orderings are candidate-independent, so the snapshots form
+        // the cross-candidate prefix paths of the trie.
+        search.run_batch(&base_orders, true);
+        search.run_batch(&shuffle_orders, true);
+        search.run_batch(&search.joint_orders(), false);
+        search.improve();
+        Ok(search.into_schedule())
     }
 }
 
-/// One engine's in-flight pack, split into the race's fixed check
-/// boundaries: the three deterministic base orderings, the shuffled
-/// restarts, the joint passes, and chunked improvement rounds. Driving
-/// every stage with `cutoff == u64::MAX` is *exactly* the standalone
-/// [`SessionCore::pack`]; a finite cutoff seeds each stage's incumbent
-/// with a frozen cross-engine bound, pruning passes that provably cannot
-/// beat another engine's published best. Stage results are deterministic
-/// for a given cutoff sequence: the prune is strict, so any pass tying
-/// the stage's best always survives, and the `(makespan, order index)`
-/// reduction is order-fixed — which is what makes the portfolio race
-/// bit-identical at any thread count.
-pub(crate) struct StagedPack<'s, C: PackEngine> {
+/// One in-flight [`SessionCore::pack`]: the combined job view, the prune
+/// constants and the best pack state found so far.
+struct Search<'s, C: PackEngine> {
     core: &'s SessionCore<C>,
     jobs: JobSet<'s>,
     counters: &'s SessionCounters,
     prune_ctx: PruneCtx,
-    /// Remaining phase-partitioned orderings; `base_stage` drains the
-    /// three deterministic heads, `shuffle_stage` takes the rest.
-    phase_orders: Vec<Vec<usize>>,
     best: Option<PackState<C>>,
-    /// Next improvement round (persists across chunks).
-    round: usize,
-    /// Memoized rip-up orders (persists across chunks).
-    tried: std::collections::HashSet<Vec<usize>>,
 }
 
-/// The stage-by-stage surface the portfolio race drives, object-safe so
-/// heterogeneous engines race side by side. Every stage returns how many
-/// of its passes the *cross-engine* cutoff pruned (its own incumbent's
-/// prunes are not counted — those happen standalone too).
-pub(crate) trait RaceMember: Send {
-    /// The three deterministic multi-start orderings.
-    fn base_stage(&mut self, cutoff: u64) -> u64;
-    /// The seeded shuffle orderings.
-    fn shuffle_stage(&mut self, cutoff: u64) -> u64;
-    /// The joint chains-first + shuffled interleaved orderings.
-    fn joint_stage(&mut self, cutoff: u64) -> u64;
-    /// Up to `rounds` improvement rounds; returns `(more remain, prunes)`.
-    fn improve_rounds(&mut self, cutoff: u64, rounds: usize) -> (bool, u64);
-    /// Best makespan so far; `None` when every pass was cut off.
-    fn best_makespan(&self) -> Option<u64>;
-    /// Finishes: the packed schedule, or `None` when every pass was cut
-    /// off (a race loser whose bound never beat the frozen incumbent).
-    fn take_schedule(&mut self) -> Option<Schedule>;
-    /// Retires the best state without building a schedule (race losers).
-    fn abandon(&mut self);
-}
-
-impl<C: PackEngine> StagedPack<'_, C> {
-    /// The incumbent seed of a stage: the engine's own best so far,
-    /// tightened by the frozen cross-engine cutoff.
-    fn seed(&self, cutoff: u64) -> u64 {
-        cutoff.min(self.best.as_ref().map_or(u64::MAX, |b| b.latest_end))
-    }
-
-    /// Whether `cutoff` is strictly tighter than everything this engine
-    /// knew on its own — passes pruned under it count as race prunes.
-    fn cutoff_is_tighter(&self, cutoff: u64) -> bool {
-        cutoff < self.best.as_ref().map_or(u64::MAX, |b| b.latest_end)
+impl<C: PackEngine> Search<'_, C> {
+    /// The best makespan so far (`u64::MAX` before the first pass).
+    fn best_makespan(&self) -> u64 {
+        self.best.as_ref().map_or(u64::MAX, |b| b.latest_end)
     }
 
     /// Runs one batch of orderings against a shared incumbent seeded with
-    /// `seed`, folds the surviving passes into `self.best`, and returns
-    /// the number of pruned passes.
-    fn run_batch(&mut self, orders: &[Vec<usize>], seed: u64, snapshot_deltas: bool) -> u64 {
+    /// the best makespan so far and folds the surviving passes into
+    /// `self.best`.
+    fn run_batch(&mut self, orders: &[Vec<usize>], snapshot_deltas: bool) {
         if orders.is_empty() {
-            return 0;
+            return;
         }
         let core = self.core;
         let jobs = self.jobs;
         let counters = self.counters;
-        let incumbent = AtomicU64::new(seed);
+        let incumbent = AtomicU64::new(self.best_makespan());
         let prune_ctx = &self.prune_ctx;
         let run_pass = |order: &Vec<usize>| {
             core.pack_via_prefix(
@@ -1493,47 +1428,15 @@ impl<C: PackEngine> StagedPack<'_, C> {
         } else {
             orders.iter().map(run_pass).collect()
         };
-        let pruned = passes.iter().filter(|p| p.is_none()).count() as u64;
         if let Some(state) = core.reduce_passes(passes) {
             self.best = Some(match self.best.take() {
                 Some(b) => core.keep_better(b, state),
                 None => state,
             });
         }
-        pruned
-    }
-}
-
-impl<C: PackEngine> RaceMember for StagedPack<'_, C> {
-    fn base_stage(&mut self, cutoff: u64) -> u64 {
-        let take = self.phase_orders.len().min(3);
-        let orders: Vec<Vec<usize>> = self.phase_orders.drain(..take).collect();
-        let race = self.cutoff_is_tighter(cutoff);
-        let seed = self.seed(cutoff);
-        // Phase-partitioned orders snapshot their delta steps: their delta
-        // sub-orderings are candidate-independent, so the snapshots form
-        // the cross-candidate prefix paths of the trie.
-        let pruned = self.run_batch(&orders, seed, true);
-        if race {
-            pruned
-        } else {
-            0
-        }
     }
 
-    fn shuffle_stage(&mut self, cutoff: u64) -> u64 {
-        let orders = std::mem::take(&mut self.phase_orders);
-        let race = self.cutoff_is_tighter(cutoff);
-        let seed = self.seed(cutoff);
-        let pruned = self.run_batch(&orders, seed, true);
-        if race {
-            pruned
-        } else {
-            0
-        }
-    }
-
-    /// *Joint* passes interleave delta jobs ahead of (or among) the
+    /// *Joint* orderings interleave delta jobs ahead of (or among) the
     /// skeleton — coverage the phase-partitioned cached passes cannot
     /// provide. The chains-first joint order packs chain-dominated
     /// candidates (the all-share normalization baseline in particular)
@@ -1542,9 +1445,9 @@ impl<C: PackEngine> RaceMember for StagedPack<'_, C> {
     /// removed. Their reusable prefixes are empty-to-short — these are
     /// the few from-scratch packs per candidate — and the incumbent
     /// from the earlier stages prunes them early when they cannot win.
-    fn joint_stage(&mut self, cutoff: u64) -> u64 {
+    fn joint_orders(&self) -> Vec<Vec<usize>> {
         if self.jobs.delta.is_empty() || self.jobs.skeleton.is_empty() {
-            return 0;
+            return Vec::new();
         }
         let all_indices: Vec<usize> = (0..self.jobs.len()).collect();
         let mut joint_orders =
@@ -1555,14 +1458,7 @@ impl<C: PackEngine> RaceMember for StagedPack<'_, C> {
             rng.shuffle(&mut order);
             joint_orders.push(order);
         }
-        let race = self.cutoff_is_tighter(cutoff);
-        let seed = self.seed(cutoff);
-        let pruned = self.run_batch(&joint_orders, seed, false);
-        if race {
-            pruned
-        } else {
-            0
-        }
+        joint_orders
     }
 
     /// Local improvement: repeatedly rip up a job that finishes at the
@@ -1583,28 +1479,16 @@ impl<C: PackEngine> RaceMember for StagedPack<'_, C> {
     /// the current one — re-running it is a no-op, and long plateaus
     /// would otherwise spend most of their rounds on exactly those
     /// no-ops.
-    fn improve_rounds(&mut self, cutoff: u64, rounds: usize) -> (bool, u64) {
-        let total = self.core.effort.improvement_rounds();
-        let mut prunes = 0u64;
-        for _ in 0..rounds {
-            if self.round >= total {
-                break;
-            }
-            let Some(best) = self.best.as_ref() else {
-                // Every pass was cut off: this engine lost the race and
-                // has no incumbent to improve.
-                self.round = total;
-                break;
-            };
-            let round = self.round;
-            self.round += 1;
+    fn improve(&mut self) {
+        let mut tried: HashSet<Vec<usize>> = HashSet::new();
+        for round in 0..self.core.effort.improvement_rounds() {
+            let best = self.best.as_ref().expect("an un-pruned ordering always survives");
             let makespan = best.latest_end;
             let mut criticals: Vec<usize> =
                 best.entries.iter().filter(|e| e.end == makespan).map(|e| e.job).collect();
             criticals.sort_unstable();
             criticals.dedup();
             let Some(&critical) = criticals.get((round / 2) % criticals.len().max(1)) else {
-                self.round = total;
                 break;
             };
             // Re-run the greedy with the critical job moved to the front
@@ -1616,12 +1500,11 @@ impl<C: PackEngine> RaceMember for StagedPack<'_, C> {
             } else {
                 order.push(critical);
             }
-            if !self.tried.insert(order.clone()) {
+            if !tried.insert(order.clone()) {
                 continue;
             }
 
-            let race = cutoff < makespan;
-            let incumbent = AtomicU64::new(makespan.min(cutoff));
+            let incumbent = AtomicU64::new(makespan);
             let candidate = self.core.pack_via_prefix(
                 &self.jobs,
                 &order,
@@ -1629,39 +1512,25 @@ impl<C: PackEngine> RaceMember for StagedPack<'_, C> {
                 false,
                 self.counters,
             );
-            match candidate {
-                Some(state) => {
-                    if state.latest_end < makespan {
-                        let superseded = self.best.replace(state);
-                        if let Some(superseded) = superseded {
-                            self.core.retire_state(superseded);
-                        }
-                    } else {
-                        self.core.retire_state(state);
+            if let Some(state) = candidate {
+                if state.latest_end < makespan {
+                    let superseded = self.best.replace(state);
+                    if let Some(superseded) = superseded {
+                        self.core.retire_state(superseded);
                     }
+                } else {
+                    self.core.retire_state(state);
                 }
-                None if race => prunes += 1,
-                None => {}
             }
         }
-        (self.round < total && self.best.is_some(), prunes)
     }
 
-    fn best_makespan(&self) -> Option<u64> {
-        self.best.as_ref().map(|b| b.latest_end)
-    }
-
-    fn take_schedule(&mut self) -> Option<Schedule> {
-        let best = self.best.take()?;
+    /// The best pack as a schedule in canonical entry order.
+    fn into_schedule(self) -> Schedule {
+        let best = self.best.expect("an un-pruned ordering always survives");
         let mut schedule = Schedule::from_parts(self.core.tam_width, best.latest_end, best.entries);
         schedule.sort_entries();
-        Some(schedule)
-    }
-
-    fn abandon(&mut self) {
-        if let Some(state) = self.best.take() {
-            self.core.retire_state(state);
-        }
+        schedule
     }
 }
 
@@ -1677,23 +1546,6 @@ pub(crate) fn run<C: PackEngine>(
     effort: Effort,
     parallel: bool,
     prune: bool,
-) -> Result<Schedule, ScheduleError> {
-    run_with(problem, |skeleton, delta| {
-        let mut core = SessionCore::<C>::new(problem.tam_width, skeleton, effort);
-        if !parallel || !prune {
-            core = core.serial_unpruned();
-        }
-        core.pack(&delta, &SessionCounters::default())
-    })
-}
-
-/// The shared from-scratch scaffolding of [`run`] and the portfolio's
-/// transient path: validates against the *original* job order, splits the
-/// problem into its skeleton/delta phases, delegates the combined pack to
-/// `pack`, and maps the emitted entries back to the problem's indices.
-pub(crate) fn run_with(
-    problem: &ScheduleProblem,
-    pack: impl FnOnce(Vec<TestJob>, Vec<TestJob>) -> Result<Schedule, ScheduleError>,
 ) -> Result<Schedule, ScheduleError> {
     let w = problem.tam_width;
     // Feasibility is reported against the original job order.
@@ -1714,7 +1566,11 @@ pub(crate) fn run_with(
     let skeleton: Vec<TestJob> = skeleton_idx.iter().map(|&i| problem.jobs[i].clone()).collect();
     let delta: Vec<TestJob> = delta_idx.iter().map(|&i| problem.jobs[i].clone()).collect();
 
-    let schedule = pack(skeleton, delta)?;
+    let mut core = SessionCore::<C>::new(w, skeleton, effort);
+    if !parallel || !prune {
+        core = core.serial_unpruned();
+    }
+    let schedule = core.pack(&delta, &SessionCounters::default())?;
 
     // Map combined session indices back to the problem's job indices.
     let combined_to_orig: Vec<usize> =
